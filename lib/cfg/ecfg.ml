@@ -40,6 +40,8 @@ type 'a t = {
   header_of : (int, int) Hashtbl.t; (* preheader -> header *)
   exits_of_pe : (int, int) Hashtbl.t; (* postexit -> header of exited interval *)
   mutable postexits : int list; (* in creation order *)
+  postexits_of : (int, int list) Hashtbl.t;
+      (* header of exited interval -> its postexits, in creation order *)
 }
 
 let body_label = Label.U
@@ -138,6 +140,14 @@ let extend ?(empty : 'a option) (cfg : 'a Cfg.t) : 'a t =
             (Cfg.succ_edges ext pe)
         end
   done;
+  (* consing in reverse creation order leaves each list in creation order *)
+  let postexits_of = Hashtbl.create 8 in
+  List.iter
+    (fun pe ->
+      let h = Hashtbl.find exits_of_pe pe in
+      let pes = Option.value ~default:[] (Hashtbl.find_opt postexits_of h) in
+      Hashtbl.replace postexits_of h (pe :: pes))
+    !postexits;
   {
     ext;
     start;
@@ -149,6 +159,7 @@ let extend ?(empty : 'a option) (cfg : 'a Cfg.t) : 'a t =
     header_of;
     exits_of_pe;
     postexits = List.rev !postexits;
+    postexits_of;
   }
 
 let cfg t = t.ext
@@ -191,7 +202,7 @@ let latch_edges t h =
 
 (* Postexit nodes of a given interval (the loop's exits in FCDG). *)
 let postexits_of_header t h =
-  List.filter (fun pe -> Hashtbl.find t.exits_of_pe pe = h) t.postexits
+  Option.value ~default:[] (Hashtbl.find_opt t.postexits_of h)
 
 let pp ?pp_info fmt t =
   Fmt.pf fmt "@[<v>ECFG (START=%d, STOP=%d):@," t.start t.stop;

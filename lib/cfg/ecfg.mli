@@ -56,7 +56,8 @@ val headers : 'a t -> int list
     that "transfer control back to the loop header" (§3, optimization 2). *)
 val latch_edges : 'a t -> int -> Label.t Digraph.edge list
 
-(** Postexit nodes exiting the interval headed by [h]. *)
+(** Postexit nodes exiting the interval headed by [h], in creation order
+    (indexed at construction: O(1) per call). *)
 val postexits_of_header : 'a t -> int -> int list
 
 val pp : ?pp_info:(Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

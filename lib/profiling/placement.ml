@@ -100,22 +100,32 @@ let is_exit_label analysis (u, l) =
 type plan_state = {
   a : Analysis.t;
   real_conds : cond list;
-  mutable drops : (cond * derivation) list; (* in drop order *)
+  real_set : (cond, unit) Hashtbl.t;
+  mutable rev_drops : (cond * derivation) list; (* latest drop first *)
   dropped : (cond, derivation) Hashtbl.t;
-  mutable bulk : (cond * Ast.expr) list;
+  bulk : (cond, Ast.expr) Hashtbl.t;
+  parents : (int, cond list) Hashtbl.t; (* memo of [real_parent_conds] *)
 }
 
-let is_cond ps c = List.mem c ps.real_conds
+let is_cond ps c = Hashtbl.mem ps.real_set c
 
 let is_free ps c =
-  is_cond ps c && (not (Hashtbl.mem ps.dropped c)) && not (List.mem_assoc c ps.bulk)
+  is_cond ps c && (not (Hashtbl.mem ps.dropped c)) && not (Hashtbl.mem ps.bulk c)
+
+let parents ps x =
+  match Hashtbl.find_opt ps.parents x with
+  | Some cs -> cs
+  | None ->
+      let cs = real_parent_conds ps.a x in
+      Hashtbl.replace ps.parents x cs;
+      cs
 
 let try_drop ps c deriv =
   if is_free ps c then begin
     Log.debug (fun m ->
         m "%s: drop %a" ps.a.Analysis.proc.Program.name pp_cond c);
     Hashtbl.replace ps.dropped c deriv;
-    ps.drops <- ps.drops @ [ (c, deriv) ];
+    ps.rev_drops <- (c, deriv) :: ps.rev_drops;
     true
   end
   else false
@@ -130,7 +140,22 @@ let latch_term ps ((u, l) as c) =
   then Some (Tnode_total u)
   else None
 
-let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
+(* The conditions a derivation reads: its terms, with every NODE_TOTAL
+   expanded into the node's real parent conditions. *)
+let term_needs ps = function Tcond c -> [ c ] | Tnode_total x -> parents ps x
+
+let needs ps = function
+  | Node_balance { node = x; others } | Exit_balance { ph = x; others } ->
+      parents ps x @ others
+  | Latch_balance { ph; header_cond; others } ->
+      (header_cond :: parents ps ph) @ List.concat_map (term_needs ps) others
+  | Header_from_latches { ph; latches } ->
+      parents ps ph @ List.concat_map (term_needs ps) latches
+  | Static_trip { ph; _ } | Static_body { ph; _ } -> parents ps ph
+
+(* Plan one procedure: its state (real conditions, bulk adds, the final
+   drop table) and its derivations in drop order. *)
+let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state * (cond * derivation) list =
   let ecfg = a.Analysis.ecfg in
   let cfg = a.Analysis.proc.Program.cfg in
   let real_conds =
@@ -138,7 +163,19 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
       (fun c -> Analysis.site_of_condition a c <> Analysis.Never)
       a.Analysis.conditions
   in
-  let ps = { a; real_conds; drops = []; dropped = Hashtbl.create 16; bulk = [] } in
+  let real_set = Hashtbl.create 64 in
+  List.iter (fun c -> Hashtbl.replace real_set c ()) real_conds;
+  let ps =
+    {
+      a;
+      real_conds;
+      real_set;
+      rev_drops = [];
+      dropped = Hashtbl.create 16;
+      bulk = Hashtbl.create 8;
+      parents = Hashtbl.create 64;
+    }
+  in
   let exit_free = if opt3 then Analysis.exit_free_do_headers a else [] in
   (* --- optimization 3: exit-free DO loops ---
      Both loop conditions are covered: the header-execution condition
@@ -158,14 +195,13 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
               ignore (try_drop ps c_body (Static_body { ph; trip = k }))
           | None ->
               if is_free ps c_body then
-                ps.bulk <- (c_body, Ast.Var meta.Ir.trip_var) :: ps.bulk;
+                Hashtbl.replace ps.bulk c_body (Ast.Var meta.Ir.trip_var);
               (* the header total is cheaper still as NODE_TOTAL(ph) plus the
                  latch totals (observation 2) when optimization 2 is on;
                  otherwise realize it as a bulk add of trip+1 per entry *)
               if (not opt2) && is_free ps c_hdr then
-                ps.bulk <-
-                  (c_hdr, Ast.Binop (Ast.Add, Ast.Var meta.Ir.trip_var, Ast.Int 1))
-                  :: ps.bulk))
+                Hashtbl.replace ps.bulk c_hdr
+                  (Ast.Binop (Ast.Add, Ast.Var meta.Ir.trip_var, Ast.Int 1))))
     exit_free;
   if opt2 then begin
     (* --- header counters derived from latches (observation 2, solved for
@@ -222,7 +258,7 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
       (fun h ->
         let ph = Ecfg.preheader_of_header ecfg h in
         let exits =
-          List.concat_map (real_parent_conds a) (Ecfg.postexits_of_header ecfg h)
+          List.concat_map (parents ps) (Ecfg.postexits_of_header ecfg h)
           |> List.sort_uniq compare
         in
         match List.find_opt (is_free ps) exits with
@@ -257,85 +293,81 @@ let plan_proc ~opt2 ~opt3 (a : Analysis.t) : plan_state =
         end)
       (Ecfg.headers ecfg)
   end;
-  (* --- solvability: re-measure circular drops one at a time --- *)
-  let solvable drops =
-    let known = Hashtbl.create 64 in
-    List.iter
-      (fun c ->
-        if not (List.exists (fun (d, _) -> d = c) drops) then
-          Hashtbl.replace known c ())
-      a.Analysis.conditions;
-    let node_total_known x =
-      List.for_all (fun c -> Hashtbl.mem known c) (real_parent_conds a x)
-    in
-    let term_known = function
-      | Tcond c -> Hashtbl.mem known c
-      | Tnode_total x -> node_total_known x
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (c, deriv) ->
-          if not (Hashtbl.mem known c) then
-            let ok =
-              match deriv with
-              | Node_balance { node; others } ->
-                  node_total_known node
-                  && List.for_all (fun c -> Hashtbl.mem known c) others
-              | Exit_balance { ph; others } ->
-                  node_total_known ph
-                  && List.for_all (fun c -> Hashtbl.mem known c) others
-              | Latch_balance { ph; header_cond; others } ->
-                  Hashtbl.mem known header_cond && node_total_known ph
-                  && List.for_all term_known others
-              | Header_from_latches { ph; latches } ->
-                  node_total_known ph && List.for_all term_known latches
-              | Static_trip { ph; _ } | Static_body { ph; _ } -> node_total_known ph
-            in
-            if ok then begin
-              Hashtbl.replace known c ();
-              changed := true
-            end)
-        drops
-    done;
-    List.filter (fun (c, _) -> not (Hashtbl.mem known c)) drops
+  (* --- solvability: re-measure circular drops one at a time ---
+     A drop is solved once every condition its derivation reads is known;
+     measured conditions are known from the start.  The least fixpoint is
+     computed as a worklist closure: each drop keeps a count of its missing
+     needs, and each condition the drops waiting on it.  Re-measuring a
+     drop only adds knowns, so the closure carries over from one round to
+     the next; each round re-measures the cheapest unsolved drop (the
+     latest on ties), which is the first unknown entry of one array sorted
+     by (cost, -drop index). *)
+  let drops = Array.of_list (List.rev ps.rev_drops) in
+  let n = Array.length drops in
+  let known = Hashtbl.create 64 in
+  let waiters = Hashtbl.create 64 in
+  let missing = Array.make n 0 in
+  let stack = ref [] in
+  let learn c =
+    if not (Hashtbl.mem known c) then begin
+      Hashtbl.replace known c ();
+      stack := c :: !stack
+    end
   in
+  let propagate () =
+    while !stack <> [] do
+      let c = List.hd !stack in
+      stack := List.tl !stack;
+      List.iter
+        (fun i ->
+          missing.(i) <- missing.(i) - 1;
+          if missing.(i) = 0 then learn (fst drops.(i)))
+        (Option.value ~default:[] (Hashtbl.find_opt waiters c))
+    done
+  in
+  List.iter
+    (fun c -> if not (Hashtbl.mem ps.dropped c) then Hashtbl.replace known c ())
+    a.Analysis.conditions;
+  Array.iteri
+    (fun i (_, deriv) ->
+      List.iter
+        (fun c ->
+          if not (Hashtbl.mem known c) then begin
+            missing.(i) <- missing.(i) + 1;
+            Hashtbl.replace waiters c
+              (i :: Option.value ~default:[] (Hashtbl.find_opt waiters c))
+          end)
+        (List.sort_uniq compare (needs ps deriv)))
+    drops;
+  Array.iteri (fun i (c, _) -> if missing.(i) = 0 then learn c) drops;
+  propagate ();
   (* Re-measurement cost heuristic for breaking derivation cycles: exit
      conditions fire once per loop entry (cheap to measure); everything
      else fires up to once per iteration at its nesting depth. *)
-  let remeasure_cost ((u, l) as c) =
+  let remeasure_cost ((u, _) as c) =
     if is_exit_label a c then 0
     else
-      let iv = Ecfg.intervals ecfg in
       let interval =
         if Ecfg.is_preheader ecfg u then Ecfg.header_of_preheader ecfg u
         else Ecfg.interval_of ecfg u
       in
-      ignore l;
-      1 + Intervals.interval_depth iv interval
+      1 + Intervals.interval_depth (Ecfg.intervals ecfg) interval
   in
-  let rec settle () =
-    match solvable ps.drops with
-    | [] -> ()
-    | unsolved ->
-        (* re-measure the cheapest unsolved drop (latest on ties) and retry *)
-        let c, _ =
-          List.fold_left
-            (fun best cand ->
-              if remeasure_cost (fst cand) <= remeasure_cost (fst best) then cand
-              else best)
-            (List.hd unsolved) (List.tl unsolved)
-        in
+  let order = Array.init n (fun i -> (remeasure_cost (fst drops.(i)), -i)) in
+  Array.sort compare order;
+  Array.iter
+    (fun (_, neg_i) ->
+      let c, _ = drops.(-neg_i) in
+      if not (Hashtbl.mem known c) then begin
         Log.debug (fun m ->
             m "%s: circular derivation, re-measuring %a"
               ps.a.Analysis.proc.Program.name pp_cond c);
-        ps.drops <- List.filter (fun (d, _) -> d <> c) ps.drops;
         Hashtbl.remove ps.dropped c;
-        settle ()
-  in
-  settle ();
-  ps
+        learn c;
+        propagate ()
+      end)
+    order;
+  (ps, List.filter (fun (c, _) -> Hashtbl.mem ps.dropped c) (Array.to_list drops))
 
 (* ---------------- probe realization ---------------- *)
 
@@ -344,7 +376,7 @@ let realize (a : Analysis.t) probes ~counter c bulk_exprs : realization =
   let cfg = proc.Program.cfg in
   let name = proc.Program.name in
   let num_nodes = Cfg.num_nodes cfg in
-  match List.assoc_opt c bulk_exprs with
+  match Hashtbl.find_opt bulk_exprs c with
   | Some expr ->
       (* the loop header: the condition is either the preheader's (ph,U) or
          the header's own body condition (h,T) *)
@@ -391,10 +423,9 @@ let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
   List.iter
     (fun name ->
       let a = Hashtbl.find analyses name in
-      let ps = plan_proc ~opt2 ~opt3 a in
-      let dropped_conds = List.map fst ps.drops in
+      let ps, derived = plan_proc ~opt2 ~opt3 a in
       let measured =
-        List.filter (fun c -> not (List.mem c dropped_conds)) ps.real_conds
+        List.filter (fun c -> not (Hashtbl.mem ps.dropped c)) ps.real_conds
         |> List.map (fun c ->
                let id = fresh () in
                let r = realize a probes ~counter:id c ps.bulk in
@@ -427,7 +458,7 @@ let plan ?(opt2 = true) ?(opt3 = true) ?(second_moments = false)
             (Analysis.exit_free_do_headers a)
       in
       Hashtbl.replace plans name
-        { analysis = a; measured; derived = ps.drops; second_moment })
+        { analysis = a; measured; derived; second_moment })
     names;
   {
     probes = { probes with Probe.n_counters = !next_counter };

@@ -610,3 +610,54 @@ let suite =
       Alcotest.test_case "database rejects garbage" `Quick database_rejects_garbage;
       Alcotest.test_case "pretty printers" `Quick pretty_printers_smoke;
     ]
+
+(* ---------------- placement goldens and scale ---------------- *)
+
+(* MD5 of the printed plan for every opt2/opt3 combination, computed with
+   the original list-based placement: the linear-time planner must keep
+   every plan, derivation order and counter byte-identical. *)
+let placement_goldens () =
+  let wide n = S89_testgen.Gen_prog.gen_wide_cfg_source ~nodes:n () in
+  List.iter
+    (fun (name, src, goldens) ->
+      let analyses = Analysis.of_program (Program.of_source src) in
+      List.iter2
+        (fun (opt2, opt3) golden ->
+          let plan = Placement.plan ~opt2 ~opt3 analyses in
+          let digest = Digest.to_hex (Digest.string (Fmt.str "%a" Placement.pp plan)) in
+          check Alcotest.string (Printf.sprintf "%s opt2=%b opt3=%b" name opt2 opt3)
+            golden digest)
+        [ (false, false); (true, false); (false, true); (true, true) ]
+        goldens)
+    [
+      ( "wide1000", wide 1000,
+        [ "f16c8caab110e07f3e809cd936abbe38"; "c198e5d581c6976327d17a7afde4a008";
+          "f16c8caab110e07f3e809cd936abbe38"; "c198e5d581c6976327d17a7afde4a008" ] );
+      ( "wide4000", wide 4000,
+        [ "888e124abaab7eb5992413951fec9d39"; "b09fcb7c322f6db9860886b3e4d18a4e";
+          "888e124abaab7eb5992413951fec9d39"; "b09fcb7c322f6db9860886b3e4d18a4e" ] );
+      ( "LOOPS", S89_workloads.Livermore.source,
+        [ "2b9a43f0e61fcedb99af5ba7f7ad0f4a"; "8d959faf3384e91ff21bbb6f4a33d584";
+          "9fae78c98f7c6be5f6d8500cda8f4fa6"; "adf48dd5a77fb325b6ce12e8e53f8108" ] );
+      ( "SIMPLE", S89_workloads.Simple_code.source (),
+        [ "67a27fe5a6a330778f11adce66efc358"; "216905f584e6c705c14059aa82aff73b";
+          "67a27fe5a6a330778f11adce66efc358"; "216905f584e6c705c14059aa82aff73b" ] );
+      ( "fig1", S89_workloads.Demos.fig1 (),
+        [ "a61b894004ded345f8ed7942bb877ad9"; "bb9a6d2cf7035da60492f31019675775";
+          "a61b894004ded345f8ed7942bb877ad9"; "bb9a6d2cf7035da60492f31019675775" ] );
+    ]
+
+(* An 8000-node wide CFG breaks ~49 circular derivations; with a
+   quadratic solvability check this alone took seconds, so finishing
+   among the quick tests guards the planner's complexity without a
+   clock. *)
+let reconstruction_wide_8000 () =
+  roundtrip (Program.of_source (S89_testgen.Gen_prog.gen_wide_cfg_source ~nodes:8000 ())) 11
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "placement: golden plans" `Quick placement_goldens;
+      Alcotest.test_case "reconstruction: 8000-node wide CFG" `Quick
+        reconstruction_wide_8000;
+    ]
